@@ -1,10 +1,12 @@
 """Lie algebras given by exact structure constants.
 
 A StructureConstants value stores the bracket tensor sparsely: only entries
-with i < j are kept (1-based indices), antisymmetry is derived rather than
-stored.  All coefficients are exact rationals, so the Jacobi check, the
-derived algebra and the rank of the coadjoint matrix are certificates, not
-approximations.
+with i < j are kept (1-based indices).  Alongside them it builds, once, an
+ordered-pair table (i, j) -> {k: C_ij^k} for both orders with antisymmetry
+applied, so a bracket of basis vectors is a lookup.  The Jacobi check
+contracts nested brackets over the nonzero table entries only.  All
+coefficients are exact rationals, so the Jacobi check, the derived algebra
+and the rank of the coadjoint matrix are certificates, not approximations.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ Key = Tuple[int, int, int]  # (i, j, k) with i < j
 class StructureConstants:
     """Antisymmetric structure tensor C_ij^k of an n-dimensional algebra."""
 
-    __slots__ = ("dim", "entries")
+    __slots__ = ("dim", "entries", "_table")
 
     def __init__(self, dim: int, entries: Mapping[Key, Fraction]):
         if dim < 1:
@@ -35,32 +37,24 @@ class StructureConstants:
             if not (1 <= i < j <= dim) or not 1 <= k <= dim:
                 raise ValueError(f"bad structure-constant index ({i},{j},{k}) for dim {dim}")
             clean[(i, j, k)] = value
+        table: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
+        for (i, j, k), value in clean.items():
+            table.setdefault((i, j), {})[k] = value
+            table.setdefault((j, i), {})[k] = -value
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "entries", clean)
+        object.__setattr__(self, "_table", table)
 
     def __setattr__(self, *a):
         raise AttributeError("StructureConstants is immutable")
 
     def c(self, i: int, j: int, k: int) -> Fraction:
         """C_ij^k for arbitrary i, j (antisymmetry applied)."""
-        if i == j:
-            return Fraction(0)
-        if i < j:
-            return self.entries.get((i, j, k), Fraction(0))
-        return -self.entries.get((j, i, k), Fraction(0))
+        return self._table.get((i, j), {}).get(k, Fraction(0))
 
     def bracket_basis(self, i: int, j: int) -> Dict[int, Fraction]:
         """Coefficients of [X_i, X_j] on the basis, sparse."""
-        if i == j:
-            return {}
-        sign = 1
-        if i > j:
-            i, j, sign = j, i, -1
-        out: Dict[int, Fraction] = {}
-        for (a, b, k), v in self.entries.items():
-            if a == i and b == j:
-                out[k] = sign * v
-        return out
+        return dict(self._table.get((i, j), {}))
 
     def __eq__(self, other):
         if not isinstance(other, StructureConstants):
@@ -77,21 +71,26 @@ class StructureConstants:
 def jacobi_defect(sc: StructureConstants) -> List[Tuple[int, int, int, int, Fraction]]:
     """Every (i<j<k, l, residual) where the Jacobi cyclic sum is nonzero.
 
-    Empty list iff the constants define a Lie algebra.
+    The residual is the X_l coefficient of
+    [[X_i, X_j], X_k] + [[X_j, X_k], X_i] + [[X_k, X_i], X_j], contracted
+    over the nonzero entries of the bracket table; entries come out in
+    ascending (i, j, k, l) order.  Empty list iff the constants define a Lie
+    algebra.
     """
     n = sc.dim
+    table = sc._table
     out = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             for k in range(j + 1, n + 1):
-                for l in range(1, n + 1):
-                    s = Fraction(0)
-                    for m in range(1, n + 1):
-                        s += (sc.c(i, j, m) * sc.c(m, k, l)
-                              + sc.c(j, k, m) * sc.c(m, i, l)
-                              + sc.c(k, i, m) * sc.c(m, j, l))
-                    if s != 0:
-                        out.append((i, j, k, l, s))
+                acc: Dict[int, Fraction] = {}
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    for m, v in table.get((a, b), {}).items():
+                        for l, w in table.get((m, c), {}).items():
+                            acc[l] = acc.get(l, 0) + v * w
+                for l in sorted(acc):
+                    if acc[l] != 0:
+                        out.append((i, j, k, l, acc[l]))
     return out
 
 

@@ -20,6 +20,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -98,7 +99,7 @@ def apply_operator(sc: StructureConstants, i: int, e: Expression) -> Expression:
     if not 1 <= i <= n:
         raise ValueError(f"operator index {i} out of range 1..{n}")
     rows = _operator_row_polys(sc, i)
-    p = as_polynomial(e, n) if _looks_polynomial(e) else None
+    p = as_polynomial(e, n)
     if p is not None:
         acc = Polynomial.zero(n)
         for j, m in rows.items():
@@ -114,13 +115,6 @@ def apply_operator(sc: StructureConstants, i: int, e: Expression) -> Expression:
     if not parts:
         return Polynomial.zero(n)
     return normalize(Sum(tuple(parts)), n)
-
-
-def _looks_polynomial(e: Expression) -> bool:
-    try:
-        return as_polynomial(e) is not None
-    except Exception:
-        return False
 
 
 def is_invariant_symbolic(sc: StructureConstants, p: Polynomial) -> bool:
@@ -251,7 +245,7 @@ def polynomial_invariant_search(sc: StructureConstants, max_degree: int) -> List
                 continue
             denom = 1
             for v in row.values():
-                denom = denom * v.denominator // _gcd(denom, v.denominator)
+                denom = denom * v.denominator // gcd(denom, v.denominator)
             int_rows.append({c: int(v * denom) for c, v in row.items()})
         basis = linalg.sparse_nullspace(int_rows, len(monos))
         if not basis:
@@ -262,12 +256,6 @@ def polynomial_invariant_search(sc: StructureConstants, max_degree: int) -> List
             if terms:
                 found.append(Polynomial(n, terms))
     return found
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +301,7 @@ def semi_invariant_weights(sc: StructureConstants, e: Expression,
         raise ValueError("expression must be nonzero")
     n = sc.dim
     weights: Dict[int, Fraction] = {}
-    p = as_polynomial(e, n) if _looks_polynomial(e) else None
+    p = as_polynomial(e, n)
     rat = None if p is not None else rational_form(e, n)
     for i in ops:
         img = apply_operator(sc, i, e)
@@ -624,7 +612,7 @@ def verify_algebra(sc: StructureConstants, claimed: Sequence[Expression],
     for e in claimed:
         text = to_text(e)
         try:
-            p = as_polynomial(e, sc.dim) if _looks_polynomial(e) else None
+            p = as_polynomial(e, sc.dim)
             if p is not None:
                 ok = is_invariant_symbolic(sc, p)
                 checks.append(InvariantCheck(text, "symbolic", ok))

@@ -2,15 +2,17 @@
 
 Dense routines (row reduction, rank, nullspace) serve the small matrices
 that arise from brackets, weight matrices and random evaluations of the
-coadjoint matrix.  The sparse fraction-free eliminator handles the larger
-homogeneous systems produced by the polynomial-invariant search, where rows
-are short integer dicts.
+coadjoint matrix.  Rank is fraction-free: rows are scaled to integers and
+reduced by Bareiss elimination, whose exact integer divisions keep every
+entry a minor of the input.  The sparse fraction-free eliminator handles the
+larger homogeneous systems produced by the polynomial-invariant search, where
+rows are short integer dicts.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Dict, List, Sequence, Tuple
 
 Row = List[Fraction]
@@ -44,12 +46,23 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> Tuple[List[Row], List[int]]:
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank by Gaussian elimination."""
-    m = [[Fraction(x) for x in row] for row in rows]
+    """Exact rank by fraction-free (Bareiss) elimination over the integers.
+
+    Each row is multiplied by the lcm of its denominators, which leaves the
+    rank unchanged.  After a pivot step every entry below the pivot row is a
+    minor of the integer matrix, so the division by the previous pivot is
+    exact and no fraction is ever formed.
+    """
+    m = []
+    for row in rows:
+        fr = [x if isinstance(x, Fraction) else Fraction(x) for x in row]
+        den = lcm(*(x.denominator for x in fr))
+        m.append([x.numerator * (den // x.denominator) for x in fr])
     if not m or not m[0]:
         return 0
     nrows, ncols = len(m), len(m[0])
     r = 0
+    prev = 1
     for c in range(ncols):
         pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
         if pr is None:
@@ -58,11 +71,12 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
         piv = m[r][c]
         top = m[r]
         for i in range(r + 1, nrows):
-            if m[i][c] != 0:
-                f = m[i][c] / piv
-                row = m[i]
-                for j in range(c, ncols):
-                    row[j] -= f * top[j]
+            row = m[i]
+            f = row[c]
+            for j in range(c + 1, ncols):
+                row[j] = (piv * row[j] - f * top[j]) // prev
+            row[c] = 0
+        prev = piv
         r += 1
         if r == nrows:
             break

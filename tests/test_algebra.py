@@ -54,6 +54,25 @@ class TestJacobi:
             sc, _ = instantiate(rec)
             assert jacobi_defect(sc) == [], rec.name
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_random_tensors_match_oracle(self, data):
+        n = data.draw(st.integers(2, 6), label="dim")
+        const = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+        if data.draw(st.booleans(), label="lie"):
+            # X1 acting on the abelian ideal span{X2..Xn} by any matrix is a
+            # Lie algebra, whatever the constants
+            entries = {(1, j, k): data.draw(const)
+                       for j in range(2, n + 1) for k in range(2, n + 1)
+                       if data.draw(st.booleans())}
+        else:
+            pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+            keys = st.tuples(st.sampled_from(pairs), st.integers(1, n))
+            entries = {(i, j, k): c for ((i, j), k), c in
+                       data.draw(st.dictionaries(keys, const, max_size=3 * n)).items()}
+        sc = StructureConstants(n, entries)
+        assert jacobi_defect(sc) == oracle.jacobi_residuals(sc.entries, n)
+
 
 class TestBracket:
     def test_antisymmetry_on_basis(self, sl2):
@@ -63,6 +82,13 @@ class TestBracket:
     def test_sl2_values(self, sl2):
         assert bracket(sl2, [0, 1, 0], [0, 0, 1]) == [1, 0, 0]
         assert bracket(sl2, [1, 0, 0], [0, 1, 0]) == [0, 2, 0]
+
+    def test_bracket_basis_is_antisymmetric_copy(self, sl2):
+        assert sl2.bracket_basis(1, 2) == {2: F(2)}
+        assert sl2.bracket_basis(3, 1) == {3: F(2)}
+        assert sl2.bracket_basis(2, 2) == {}
+        sl2.bracket_basis(1, 2)[2] = F(5)
+        assert sl2.bracket_basis(1, 2) == {2: F(2)}
 
     def test_length_mismatch(self, sl2):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -211,6 +212,33 @@ class TestOutputFormats:
         _, out, _ = run("--format", "jsonl", "rank", "--algebra", "L_8,1")
         rec = json.loads(out.strip())
         assert rec == {"algebra": "L_8,1", "dim": 8, "rank": 6, "n_invariants": 2}
+
+
+GOLDEN_CHECK = Path(__file__).parent / "data" / "check_seed1.jsonl"
+
+
+def _without_numeric_residuals(lines):
+    """Parsed jsonl records; numeric residuals are libm floats, so dropped."""
+    out = []
+    for line in lines:
+        rec = json.loads(line)
+        for chk in rec["checks"]:
+            if chk["mode"] == "numeric":
+                del chk["residual"]
+        out.append(rec)
+    return out
+
+
+class TestGoldenOutput:
+    def test_check_catalog_matches_golden_jsonl(self, run):
+        code, out, _ = run("check", "--format", "jsonl", "--seed", "1")
+        assert code == 0
+        got = _without_numeric_residuals(out.splitlines())
+        want = _without_numeric_residuals(
+            GOLDEN_CHECK.read_text(encoding="utf-8").splitlines())
+        assert len(got) == len(want) == 37
+        for g, w in zip(got, want):
+            assert g == w, w["algebra"]
 
 
 class TestUsage:

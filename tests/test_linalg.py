@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction as F
 
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from coadinv import linalg
@@ -22,6 +23,45 @@ def test_rank():
     assert linalg.rank([[F(1), F(0)], [F(0), F(1)]]) == 2
     assert linalg.rank([]) == 0
     assert linalg.rank([[F(0), F(0)]]) == 0
+    assert linalg.rank([[1, 2], [3, 4]]) == 2  # plain integers are accepted
+    # Bareiss must update every row below the pivot, including rows whose
+    # entry in the pivot column is already 0; skipping them makes a later
+    # integer division inexact and loses a rank here.
+    assert linalg.rank([[0, 2, 0], [3, -1, 2], [0, -1, 1], [3, -5, 2]]) == 3
+
+
+@st.composite
+def rational_matrices(draw):
+    nrows = draw(st.integers(1, 7))
+    ncols = draw(st.integers(1, 8))
+    nonzero = st.one_of(
+        st.integers(-3, 3).map(F),
+        st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=9),
+        st.integers(-10 ** 6, 10 ** 6).map(F),
+    )
+    # each matrix draws its own density, so sparse and dense ones both occur
+    density = draw(st.integers(1, 4))
+    rows = [[draw(nonzero) if draw(st.integers(1, 4)) <= density else F(0)
+             for _ in range(ncols)] for _ in range(nrows)]
+    for c in draw(st.sets(st.integers(0, ncols - 1), max_size=ncols)):
+        for row in rows:
+            row[c] = F(0)
+    # insert rational combinations of other rows, so some rows are dependent
+    coeff = st.fractions(-5, 5, max_denominator=6)
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        s, t = draw(coeff), draw(coeff)
+        rows.insert(draw(st.integers(0, len(rows))),
+                    [s * x + t * y for x, y in zip(a, b)])
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=rational_matrices())
+def test_rank_matches_sympy(rows):
+    expected = sympy.Matrix(
+        [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows]).rank()
+    assert linalg.rank(rows) == expected
 
 
 def test_nullspace_left_convention():
