@@ -20,7 +20,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import comb, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -67,26 +67,16 @@ MONOMIAL_CAP = 20_000
 WEIGHT_DENOMINATOR_BOUND = 10 ** 6
 
 
-def _operator_terms(sc: StructureConstants, i: int) -> List[Tuple[int, int, Fraction]]:
-    """[(j, k, C_ij^k)] over all j != i with a nonzero constant."""
-    out = []
-    for (a, b, k), c in sc.entries.items():
-        if a == i:
-            out.append((b, k, c))
-        elif b == i:
-            out.append((a, k, -c))
-    return out
-
-
 def _operator_row_polys(sc: StructureConstants, i: int) -> Dict[int, Polynomial]:
     """j -> M_ij as a polynomial (row i of the coadjoint matrix)."""
     n = sc.dim
-    rows: Dict[int, Dict[tuple, Fraction]] = {}
-    for j, k, c in _operator_terms(sc, i):
-        mono = tuple(1 if t == k - 1 else 0 for t in range(n))
-        d = rows.setdefault(j, {})
-        d[mono] = d.get(mono, Fraction(0)) + c
-    return {j: Polynomial(n, terms) for j, terms in rows.items() if any(terms.values())}
+    rows: Dict[int, Polynomial] = {}
+    for j in range(1, n + 1):
+        coeffs = sc._table.get((i, j))
+        if coeffs:
+            rows[j] = Polynomial(n, {tuple(1 if t == k - 1 else 0 for t in range(n)): c
+                                     for k, c in coeffs.items()})
+    return rows
 
 
 def apply_operator(sc: StructureConstants, i: int, e: Expression) -> Expression:
@@ -207,54 +197,55 @@ def polynomial_invariant_search(sc: StructureConstants, max_degree: int) -> List
 
     The annihilation conditions form an exact homogeneous linear system on
     the monomial coefficients; since the operators preserve degree the system
-    splits by degree.  The basis is canonical: reduced echelon form over the
-    monomials in graded-lex order, pivot coefficient 1.  Constants are
+    splits by degree.  Rows are assembled over the integers: each operator is
+    scaled once by the lcm of its constants' denominators.  The basis is the
+    one linalg.sparse_nullspace returns, canonical: reduced echelon form over
+    the monomials in graded-lex order, pivot coefficient 1.  Constants are
     excluded.  Raises SearchCapError instead of truncating when the ansatz
     would exceed the monomial cap.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
     n = sc.dim
-    total = sum(len(list(itertools.combinations_with_replacement(range(n), d)))
-                for d in range(1, max_degree + 1))
+    total = sum(comb(n + d - 1, d) for d in range(1, max_degree + 1))
     if total > MONOMIAL_CAP:
         raise SearchCapError(total, MONOMIAL_CAP)
-    op_terms = {i: _operator_terms(sc, i) for i in range(1, n + 1)}
+    # terms[j]: [(k, i, C_ij^k * D_i)], 0-based, where D_i is the lcm of the
+    # denominators of operator i; scaling a row by a positive integer leaves
+    # its nullspace alone
+    terms: List[List[Tuple[int, int, int]]] = [[] for _ in range(n)]
+    for i in range(n):
+        consts = [(j, k - 1, c) for j in range(n)
+                  for k, c in sc._table.get((i + 1, j + 1), {}).items()]
+        den = lcm(*(c.denominator for _, _, c in consts))
+        for j, k, c in consts:
+            terms[j].append((k, i, c.numerator * (den // c.denominator)))
     found: List[Polynomial] = []
     for d in range(1, max_degree + 1):
         monos = _monomials_of_degree(n, d)
+        ncols = len(monos)
         col_of = {m: idx for idx, m in enumerate(monos)}
-        # rows keyed by (operator, output monomial); entries are exact
-        rows: Dict[Tuple[int, tuple], Dict[int, Fraction]] = {}
+        # rows keyed by operator and output-monomial index
+        rows: Dict[int, Dict[int, int]] = {}
         for cm, mono in enumerate(monos):
-            for i, terms in op_terms.items():
-                for j, k, c in terms:
-                    ej = mono[j - 1]
-                    if ej == 0:
-                        continue
-                    out = list(mono)
-                    out[j - 1] -= 1
-                    out[k - 1] += 1
-                    key = (i, tuple(out))
-                    row = rows.setdefault(key, {})
-                    row[cm] = row.get(cm, Fraction(0)) + c * ej
-        int_rows: List[Dict[int, int]] = []
+            for j, ej in enumerate(mono):
+                if ej == 0:
+                    continue
+                out = list(mono)
+                out[j] -= 1
+                for k, i, c in terms[j]:
+                    out[k] += 1
+                    row = rows.setdefault(i * ncols + col_of[tuple(out)], {})
+                    out[k] -= 1
+                    row[cm] = row.get(cm, 0) + c * ej
+        int_rows = []
         for row in rows.values():
             row = {c: v for c, v in row.items() if v}
-            if not row:
-                continue
-            denom = 1
-            for v in row.values():
-                denom = denom * v.denominator // gcd(denom, v.denominator)
-            int_rows.append({c: int(v * denom) for c, v in row.items()})
-        basis = linalg.sparse_nullspace(int_rows, len(monos))
-        if not basis:
-            continue
-        reduced, _ = linalg.rref(basis)
-        for vec in reduced:
-            terms = {monos[idx]: coeff for idx, coeff in enumerate(vec) if coeff}
-            if terms:
-                found.append(Polynomial(n, terms))
+            if row:
+                int_rows.append(row)
+        for vec in linalg.sparse_nullspace(int_rows, ncols):
+            found.append(Polynomial(n, {monos[idx]: coeff
+                                        for idx, coeff in enumerate(vec) if coeff}))
     return found
 
 

@@ -6,7 +6,9 @@ coadjoint matrix.  Rank is fraction-free: rows are scaled to integers and
 reduced by Bareiss elimination, whose exact integer divisions keep every
 entry a minor of the input.  The sparse fraction-free eliminator handles the
 larger homogeneous systems produced by the polynomial-invariant search, where
-rows are short integer dicts.
+rows are short integer dicts: it takes rows shortest first, back-substitutes
+over the integers, and returns the canonical nullspace basis (reduced echelon
+form with pivot 1, one vector per free column, free columns ascending).
 """
 
 from __future__ import annotations
@@ -148,71 +150,71 @@ def _reduce_row(row: SparseRow) -> SparseRow:
     return row
 
 
-def sparse_nullspace(rows: Sequence[SparseRow], ncols: int) -> List[List[Fraction]]:
-    """Nullspace basis of a sparse integer system A v = 0.
+def _eliminate(row: SparseRow, prow: SparseRow, pc: int) -> SparseRow:
+    """Integer combination of row and pivot row prow that clears column pc."""
+    if len(prow) == 1:  # a zero column: shortest-first makes this common
+        new = dict(row)
+        del new[pc]
+        return _reduce_row(new)
+    pval = prow[pc]
+    rv = row[pc]
+    new: SparseRow = {c: pval * v for c, v in row.items() if c != pc}
+    for c, v in prow.items():
+        if c == pc:
+            continue
+        nv = new.get(c, 0) - rv * v
+        if nv:
+            new[c] = nv
+        else:
+            new.pop(c, None)
+    return _reduce_row(new)
 
-    Rows are dicts column -> integer coefficient.  Incremental fraction-free
-    echelonization: each incoming row is reduced against the current pivot
-    rows, then becomes a pivot itself (on its largest column, which keeps the
-    early columns free).  The basis has one vector per free column, in
-    ascending column order; canonicality beyond that is the caller's job.
+
+def sparse_nullspace(rows: Sequence[SparseRow], ncols: int) -> List[List[Fraction]]:
+    """Canonical nullspace basis of a sparse integer system A v = 0.
+
+    Rows are dicts column -> integer coefficient, taken shortest first so
+    that single-entry rows remove their column before it can fill in longer
+    ones.  Forward elimination is fraction-free: each row is cleared of every
+    existing pivot column by integer combinations, then becomes a pivot row
+    on its largest column.  Back-substitution is over the integers too:
+    walking the pivots in ascending column order, each pivot row is cleared
+    of every smaller pivot column, leaving only its pivot and free columns.
+
+    The basis has one vector per free column, free columns ascending; vector
+    fc is 1 at fc, 0 at every other free column, and nonzero otherwise only
+    at pivot columns greater than fc.  It is therefore the reduced echelon
+    form of the nullspace with pivot 1 (the same basis as
+    nullspace(A, ncols, pivot_side="right")) and does not depend on the row
+    order.  Entries are Fractions; one is formed per nonzero entry.
     """
     pivots: Dict[int, SparseRow] = {}
-    order: List[int] = []
-    for incoming in rows:
+    for incoming in sorted(rows, key=len):
         row = _reduce_row({c: v for c, v in incoming.items() if v})
         while row:
             hit = next((c for c in row if c in pivots), None)
             if hit is None:
+                pivots[max(row)] = row
                 break
-            prow = pivots[hit]
-            pval = prow[hit]
-            rv = row[hit]
-            new: SparseRow = {}
-            for c, v in row.items():
-                if c != hit:
-                    new[c] = pval * v
-            for c, v in prow.items():
-                if c == hit:
-                    continue
-                nv = new.get(c, 0) - rv * v
-                if nv:
-                    new[c] = nv
-                else:
-                    new.pop(c, None)
-            row = _reduce_row(new)
-        if row:
-            pc = max(row)
-            pivots[pc] = row
-            order.append(pc)
+            row = _eliminate(row, pivots[hit], hit)
 
     free_cols = [c for c in range(ncols) if c not in pivots]
     if not free_cols:
         return []
-    # Express every column in terms of the free columns.  A pivot row holds
-    # no earlier pivot columns (eliminated at insertion), so walking the
-    # insertion order backwards resolves all dependencies.
-    expr: Dict[int, Dict[int, Fraction]] = {c: {c: Fraction(1)} for c in free_cols}
-    for pc in reversed(order):
+    for pc in sorted(pivots):
         row = pivots[pc]
+        while True:
+            hit = next((c for c in row if c != pc and c in pivots), None)
+            if hit is None:
+                break
+            row = _eliminate(row, pivots[hit], hit)
+        pivots[pc] = row
+    basis = {fc: [Fraction(0)] * ncols for fc in free_cols}
+    for fc, v in basis.items():
+        v[fc] = Fraction(1)
+    for pc, row in pivots.items():
         pval = row[pc]
-        acc: Dict[int, Fraction] = {}
-        for c, v in row.items():
-            if c == pc:
-                continue
-            for fc, fv in expr[c].items():
-                nv = acc.get(fc, Fraction(0)) - Fraction(v, pval) * fv
-                if nv:
-                    acc[fc] = nv
-                else:
-                    del acc[fc]
-        expr[pc] = acc
-    basis = []
-    for fc in free_cols:
-        v = [Fraction(0)] * ncols
-        for c in range(ncols):
-            f = expr[c].get(fc)
-            if f:
-                v[c] = f
-        basis.append(v)
-    return basis
+        for fc, v in row.items():
+            if fc != pc:
+                basis[fc][pc] = Fraction(-v, pval)
+    return list(basis.values())

@@ -241,6 +241,21 @@ class TestGoldenOutput:
             assert g == w, w["algebra"]
 
 
+GOLDEN_SEARCH = Path(__file__).parent / "data" / "search_deg4.jsonl"
+
+
+class TestGoldenSearch:
+    def test_search_degree_four_matches_golden_jsonl(self, run):
+        want = GOLDEN_SEARCH.read_text(encoding="utf-8").splitlines()
+        assert len(want) == 37
+        for line in want:
+            name = json.loads(line)["algebra"]
+            code, out, _ = run("search", "--algebra", name, "--degree", "4",
+                               "--format", "jsonl")
+            assert code == 0
+            assert out.splitlines() == [line], name
+
+
 class TestUsage:
     def test_no_command(self, run):
         code, _, err = run()

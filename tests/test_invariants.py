@@ -188,6 +188,31 @@ class TestSearch:
         with pytest.raises(ValueError):
             polynomial_invariant_search(sl2, 0)
 
+    def test_cap_counts_every_monomial(self):
+        with pytest.raises(SearchCapError) as err:
+            polynomial_invariant_search(abelian(8), 9)
+        # monomials of degree 1..9 in 8 variables: C(17, 9) - 1
+        assert err.value.requested == 24_309
+
+    @pytest.mark.parametrize("name", ["L_5,1", "L_6,1", "L_6,2", "L_6,3", "L_6,4"])
+    def test_fractional_constants_match_oracle(self, catalog_by_name, name):
+        # rescaling the basis by X_i -> s_i X_i with rational s_i gives
+        # C_ij^k -> s_i s_j / s_k C_ij^k, mostly with fractional constants
+        sc, _ = instantiate(catalog_by_name[name])
+        rng = random.Random(name)
+        s = [F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+             for _ in range(sc.dim)]
+        entries = {(i, j, k): s[i - 1] * s[j - 1] / s[k - 1] * c
+                   for (i, j, k), c in sc.entries.items()}
+        assert any(c.denominator > 1 for c in entries.values())
+        scaled = StructureConstants(sc.dim, entries)
+        basis = polynomial_invariant_search(scaled, 3)
+        for p in basis:
+            assert is_invariant_symbolic(scaled, p)
+        for d in range(1, 4):
+            found = sum(1 for p in basis if p.total_degree() == d)
+            assert found == oracle.invariant_space_dim(entries, sc.dim, d), d
+
 
 class TestWeights:
     def test_L81_weights(self, catalog_by_name):

@@ -130,3 +130,50 @@ def test_nullspace_solves_and_rank_nullity(rows):
         for row in rows:
             assert sum(a * b for a, b in zip(row, v)) == 0
     assert len(basis) == ncols - linalg.rank(rows)
+
+
+@st.composite
+def sparse_integer_systems(draw):
+    ncols = draw(st.integers(1, 9))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-10 ** 6, 10 ** 6))
+    # some columns never occur, so they stay free
+    cols = draw(st.lists(st.integers(0, ncols - 1), min_size=1, unique=True))
+    row = st.dictionaries(st.sampled_from(cols), entry, max_size=4)  # may be {}
+    rows = draw(st.lists(row, max_size=8))
+    # insert integer combinations of other rows, so some rows are dependent
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        s, t = draw(st.integers(-4, 4)), draw(st.integers(-4, 4))
+        comb = {c: s * a.get(c, 0) + t * b.get(c, 0) for c in set(a) | set(b)}
+        rows.insert(draw(st.integers(0, len(rows))), comb)
+    return rows, ncols
+
+
+@settings(max_examples=200, deadline=None)
+@given(system=sparse_integer_systems(), data=st.data())
+def test_sparse_nullspace_is_the_canonical_basis(system, data):
+    rows, ncols = system
+    basis = linalg.sparse_nullspace(rows, ncols)
+    dense = _dense_from_sparse(rows, ncols)
+    assert basis == linalg.nullspace(dense, ncols, pivot_side="right")
+    # already reduced echelon form with pivot 1
+    if basis:
+        assert linalg.rref(basis)[0] == basis
+    # independent of the order the rows come in
+    shuffled = data.draw(st.permutations(rows))
+    assert linalg.sparse_nullspace(shuffled, ncols) == basis
+
+
+def test_sparse_nullspace_hand_cases():
+    # no rows: the identity basis
+    assert linalg.sparse_nullspace([], 2) == [[F(1), F(0)], [F(0), F(1)]]
+    # a zero row and a unit row leave columns 0 and 2 free
+    basis = linalg.sparse_nullspace([{1: 0}, {1: 5}], 3)
+    assert basis == [[F(1), F(0), F(0)], [F(0), F(0), F(1)]]
+    # x0 + 2 x1 + 3 x2 = 0 and 4 x1 + 6 x2 = 0: x1 free, x0 forced to 0
+    basis = linalg.sparse_nullspace([{0: 1, 1: 2, 2: 3}, {1: 4, 2: 6}], 3)
+    assert basis == [[F(0), F(1), F(-2, 3)]]
+    # the pivot row of x2 holds x1, the pivot of a later row, which
+    # back-substitution must clear
+    basis = linalg.sparse_nullspace([{1: 1, 2: 1}, {0: 1, 1: 1}], 3)
+    assert basis == [[F(1), F(-1), F(1)]]
