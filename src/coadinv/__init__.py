@@ -26,7 +26,6 @@ from .expr import (
     Var,
     as_polynomial,
     differentiate,
-    eval_exact,
     evaluate,
     is_zero_expr,
     normalize,

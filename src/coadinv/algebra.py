@@ -4,7 +4,8 @@ A StructureConstants value stores the bracket tensor sparsely: only entries
 with i < j are kept (1-based indices).  Alongside them it builds, once, an
 ordered-pair table (i, j) -> {k: C_ij^k} for both orders with antisymmetry
 applied, so a bracket of basis vectors is a lookup.  The Jacobi check
-contracts nested brackets over the nonzero table entries only.  All
+contracts nested brackets over the nonzero table entries only, and the
+coadjoint matrix is a view over the same table.  All
 coefficients are exact rationals, so the Jacobi check, the derived algebra
 and the rank of the coadjoint matrix are certificates, not approximations.
 """
@@ -129,50 +130,58 @@ def is_perfect(sc: StructureConstants) -> bool:
 
 
 class CoadjointMatrix:
-    """Skew matrix M_ij = sum_k C_ij^k x_k of degree-1 polynomial entries."""
+    """Skew matrix M_ij = sum_k C_ij^k x_k, a view over the bracket table.
 
-    __slots__ = ("dim", "_upper")
+    Row i holds the coefficients of the i-th coadjoint operator
+    sum_j M_ij d/dx_j.  Entries are built as degree-1 polynomials only when
+    asked for; evaluation at a point reads the structure constants directly.
+    """
 
-    def __init__(self, dim: int, upper: Mapping[Tuple[int, int], Polynomial]):
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_upper", dict(upper))
+    __slots__ = ("dim", "_sc")
+
+    def __init__(self, sc: StructureConstants):
+        object.__setattr__(self, "dim", sc.dim)
+        object.__setattr__(self, "_sc", sc)
 
     def __setattr__(self, *a):
         raise AttributeError("CoadjointMatrix is immutable")
 
+    def _linear(self, coeffs: Mapping[int, Fraction]) -> Polynomial:
+        n = self.dim
+        return Polynomial(n, {tuple(1 if t == k - 1 else 0 for t in range(n)): c
+                              for k, c in coeffs.items()})
+
     def entry(self, i: int, j: int) -> Polynomial:
         if not (1 <= i <= self.dim and 1 <= j <= self.dim):
             raise ValueError(f"index ({i},{j}) out of range 1..{self.dim}")
-        if i == j:
-            return Polynomial.zero(self.dim)
-        if i < j:
-            return self._upper.get((i, j), Polynomial.zero(self.dim))
-        p = self._upper.get((j, i))
-        return -p if p is not None else Polynomial.zero(self.dim)
+        return self._linear(self._sc._table.get((i, j), {}))
+
+    def row(self, i: int) -> Dict[int, Polynomial]:
+        """j -> M_ij for the nonzero entries of row i, j ascending."""
+        n = self.dim
+        if not 1 <= i <= n:
+            raise ValueError(f"row index {i} out of range 1..{n}")
+        table = self._sc._table
+        return {j: self._linear(table[(i, j)])
+                for j in range(1, n + 1) if (i, j) in table}
 
     def evaluate(self, point: Sequence) -> List[List[Fraction]]:
         """The matrix at an exact rational point."""
-        point = [Fraction(x) for x in point]
         n = self.dim
+        if len(point) != n:
+            raise ValueError(f"point has length {len(point)}, expected {n}")
+        x = [Fraction(v) for v in point]
         out = [[Fraction(0)] * n for _ in range(n)]
-        for (i, j), p in self._upper.items():
-            v = p.eval_exact(point)
-            out[i - 1][j - 1] = v
-            out[j - 1][i - 1] = -v
+        for (i, j, k), c in self._sc.entries.items():
+            v = c * x[k - 1]
+            out[i - 1][j - 1] += v
+            out[j - 1][i - 1] -= v
         return out
 
 
 def coadjoint_matrix(sc: StructureConstants) -> CoadjointMatrix:
     """Matrix of the coadjoint operators' coefficients."""
-    n = sc.dim
-    upper: Dict[Tuple[int, int], Polynomial] = {}
-    for (i, j, k), c in sc.entries.items():
-        mono = tuple(1 if t == k - 1 else 0 for t in range(n))
-        prev = upper.get((i, j))
-        add = Polynomial(n, {mono: c})
-        upper[(i, j)] = add if prev is None else prev + add
-    upper = {ij: p for ij, p in upper.items() if not p.is_zero}
-    return CoadjointMatrix(n, upper)
+    return CoadjointMatrix(sc)
 
 
 SAMPLE_BOUND = 10 ** 6

@@ -26,7 +26,7 @@ from .catalog import (
     load_catalog,
     verify_catalog,
 )
-from .expr import ParseError, parse, to_text
+from .expr import ParseError, is_zero_expr, parse, to_text
 from .invariants import (
     SearchCapError,
     StructureError,
@@ -240,9 +240,12 @@ def _parsed_expressions(args, rec: AlgebraRecord, values) -> list:
     exprs = []
     for text in args.expressions:
         try:
-            exprs.append(parse(text, rec.dim, resolved))
+            e = parse(text, rec.dim, resolved)
         except ParseError as exc:
             raise UsageError(f"expression {text!r}: {exc}") from None
+        if is_zero_expr(e):
+            raise UsageError(f"expression {text!r}: must be nonzero")
+        exprs.append(e)
     return exprs
 
 

@@ -804,11 +804,6 @@ def evaluate(e: Expression, point: Sequence[complex]) -> complex:
     raise ExprError(f"not an expression node: {e!r}")
 
 
-def eval_exact(p: Polynomial, point: Sequence) -> Fraction:
-    """Exact rational evaluation of a polynomial."""
-    return p.eval_exact(point)
-
-
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------

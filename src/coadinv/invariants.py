@@ -67,18 +67,6 @@ MONOMIAL_CAP = 20_000
 WEIGHT_DENOMINATOR_BOUND = 10 ** 6
 
 
-def _operator_row_polys(sc: StructureConstants, i: int) -> Dict[int, Polynomial]:
-    """j -> M_ij as a polynomial (row i of the coadjoint matrix)."""
-    n = sc.dim
-    rows: Dict[int, Polynomial] = {}
-    for j in range(1, n + 1):
-        coeffs = sc._table.get((i, j))
-        if coeffs:
-            rows[j] = Polynomial(n, {tuple(1 if t == k - 1 else 0 for t in range(n)): c
-                                     for k, c in coeffs.items()})
-    return rows
-
-
 def apply_operator(sc: StructureConstants, i: int, e: Expression) -> Expression:
     """Image of e under the i-th coadjoint operator, normalized.
 
@@ -88,7 +76,7 @@ def apply_operator(sc: StructureConstants, i: int, e: Expression) -> Expression:
     n = sc.dim
     if not 1 <= i <= n:
         raise ValueError(f"operator index {i} out of range 1..{n}")
-    rows = _operator_row_polys(sc, i)
+    rows = coadjoint_matrix(sc).row(i)
     p = as_polynomial(e, n)
     if p is not None:
         acc = Polynomial.zero(n)
@@ -147,9 +135,10 @@ def is_invariant_numeric(sc: StructureConstants, e: Expression, trials: int = 10
     n = sc.dim
     indices = list(ops) if ops is not None else list(range(1, n + 1))
     derivs = {j: differentiate(e, j) for j in range(1, n + 1)}
+    M = coadjoint_matrix(sc)
     per_op = []
     for i in indices:
-        rows = _operator_row_polys(sc, i)
+        rows = M.row(i)
         per_op.append((i, [(m, derivs[j]) for j, m in rows.items()
                            if not is_zero_expr(derivs[j])]))
     rng = random.Random(seed)
@@ -371,10 +360,10 @@ def combine_semi_invariants(items: Sequence[SemiInvariant],
     """Zero-weight products F_1^a_1 ... F_m^a_m from the weight matrix.
 
     The exponent vectors form an integer basis of the nullspace of the
-    weight matrix (rows = ops, columns = items): exact rational nullspace
-    with pivots preferred on the later items, cleared to coprime integers,
-    first nonzero entry positive.  Every returned product has exactly zero
-    weight for each operator in ops (checked).
+    weight matrix (rows = ops, columns = items): the canonical basis of
+    linalg.sparse_nullspace, whose pivots fall on the later items, cleared
+    to coprime integers, first nonzero entry positive.  Every returned
+    product has exactly zero weight for each operator in ops (checked).
     """
     items = list(items)
     for it in items:
@@ -384,9 +373,9 @@ def combine_semi_invariants(items: Sequence[SemiInvariant],
     if not items:
         return []
     rows = [[it.weights[i] for it in items] for i in ops]
-    if not rows:
-        rows = [[Fraction(0)] * len(items)]
-    basis = linalg.nullspace(rows, len(items), pivot_side="right")
+    int_rows = [{c: v for c, v in enumerate(linalg.clear_to_integers(row)) if v}
+                for row in rows]
+    basis = linalg.sparse_nullspace(int_rows, len(items))
     out: List[Expression] = []
     for vec in basis:
         exps = linalg.clear_to_integers(vec)

@@ -133,3 +133,16 @@ def poly_to_sympy(p, xs=None):
                 term *= xs[t] ** e
         total += term
     return total
+
+
+def canonical_nullspace(rows, ncols):
+    """Nullspace basis of sparse rows {col: value} with pivots on the latest
+    columns: sympy's nullspace of the column-reversed matrix, reversed back,
+    sorted by first nonzero position, as lists of Fractions."""
+    dense = [[sympy.Rational(row.get(ncols - 1 - c, 0)) for c in range(ncols)]
+             for row in rows]
+    matrix = sympy.Matrix(dense) if dense else sympy.zeros(1, ncols)
+    basis = [[Fraction(int(x.p), int(x.q)) for x in reversed(list(v))]
+             for v in matrix.nullspace()]
+    basis.sort(key=lambda v: next(i for i, x in enumerate(v) if x != 0))
+    return basis

@@ -172,6 +172,30 @@ class TestCoadjointMatrix:
                 img = apply_operator(sc, i, Polynomial.variable(6, j))
                 assert as_polynomial(img, 6) == M.entry(i, j)
 
+    def test_rows_and_evaluation_match_entries(self, catalog_records):
+        point = [F(3), F(-1, 2), F(5), F(7), F(-2), F(1, 3), F(11), F(-4)]
+        for rec in catalog_records:
+            sc, _ = instantiate(rec)
+            n = sc.dim
+            M = coadjoint_matrix(sc)
+            values = M.evaluate(point[:n])
+            for i in range(1, n + 1):
+                row = M.row(i)
+                assert list(row) == sorted(row)
+                for j in range(1, n + 1):
+                    p = M.entry(i, j)
+                    assert row.get(j, Polynomial.zero(n)) == p
+                    assert (j in row) == (not p.is_zero)
+                    assert values[i - 1][j - 1] == p.eval_exact(point[:n]), rec.name
+
+    @pytest.mark.parametrize("sc", [abelian(3), StructureConstants(
+        3, {(1, 2, 2): F(2), (1, 3, 3): F(-2), (2, 3, 1): F(1)})], ids=["abelian", "sl2"])
+    def test_evaluate_rejects_a_point_of_the_wrong_length(self, sc):
+        M = coadjoint_matrix(sc)
+        for point in ([1], [1, 2], [1, 2, 3, 4]):
+            with pytest.raises(ValueError):
+                M.evaluate(point)
+
 
 class TestGenericRank:
     def test_abelian(self):

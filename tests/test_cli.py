@@ -165,6 +165,18 @@ class TestWeightsAndCombine:
         code, out, _ = run("combine", "--algebra", "L_8,1", "--ops", "8", "x4+x7")
         assert code == 2
 
+    def test_weights_of_zero_is_usage_error(self, run):
+        code, out, err = run("weights", "--algebra", "L_8,1", "0")
+        assert code == 1
+        assert out == ""
+        assert err == "error: expression '0': must be nonzero\n"
+
+    def test_combine_of_zero_is_usage_error(self, run):
+        code, out, err = run("combine", "--algebra", "L_8,1", "x7", "0")
+        assert code == 1
+        assert out == ""
+        assert err == "error: expression '0': must be nonzero\n"
+
     def test_combine_two_parameter_algebra(self, run):
         # L_8,7 at p=2, q=3: cubic has weight -2, x6 weight -2, x7 weight -3
         code, out, _ = run(
@@ -254,6 +266,22 @@ class TestGoldenSearch:
                                "--format", "jsonl")
             assert code == 0
             assert out.splitlines() == [line], name
+
+
+GOLDEN_CLI = Path(__file__).parent / "data" / "cli_seed1.jsonl"
+
+
+class TestGoldenCommands:
+    def test_rank_heisenberg_weights_combine_match_golden(self, run):
+        # rank and heisenberg on every record, the README weights and
+        # combine examples and a two-parameter combine: argv, exit code and
+        # jsonl stdout per line
+        want = [json.loads(line) for line in
+                GOLDEN_CLI.read_text(encoding="utf-8").splitlines()]
+        assert len(want) == 77
+        for case in want:
+            code, out, _ = run(*case["argv"])
+            assert (code, out) == (case["exit"], case["stdout"]), case["argv"]
 
 
 class TestUsage:

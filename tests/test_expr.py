@@ -20,7 +20,6 @@ from coadinv.expr import (
     Var,
     as_polynomial,
     differentiate,
-    eval_exact,
     evaluate,
     is_zero_expr,
     parse,
@@ -154,19 +153,19 @@ class TestEvaluate:
 
 class TestEvalExact:
     def test_zero(self):
-        assert eval_exact(Polynomial.zero(3), [1, 2, 3]) == 0
+        assert Polynomial.zero(3).eval_exact([1, 2, 3]) == 0
 
     def test_dot_product(self):
         p = as_polynomial(parse("x1*x4 + x2*x5 + x3*x6", 6, {}), 6)
-        assert eval_exact(p, [1, 2, 3, 4, 5, 6]) == 32
+        assert p.eval_exact([1, 2, 3, 4, 5, 6]) == 32
 
     def test_sum_of_squares(self):
         p = as_polynomial(parse("x4^2+x5^2+x6^2", 7, {}), 7)
-        assert eval_exact(p, [0, 0, 0, 3, 4, 12, 0]) == 169
+        assert p.eval_exact([0, 0, 0, 3, 4, 12, 0]) == 169
 
     def test_rational_point(self):
         p = as_polynomial(parse("x1^2", 1, {}), 1)
-        assert eval_exact(p, [F(1, 3)]) == F(1, 9)
+        assert p.eval_exact([F(1, 3)]) == F(1, 9)
 
 
 class TestAsPolynomial:

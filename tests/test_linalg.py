@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from coadinv import linalg
 
+from . import oracle
+
 
 def test_rref_simple():
     rows = [[F(2), F(4)], [F(1), F(2)]]
@@ -24,9 +26,8 @@ def test_rank():
     assert linalg.rank([]) == 0
     assert linalg.rank([[F(0), F(0)]]) == 0
     assert linalg.rank([[1, 2], [3, 4]]) == 2  # plain integers are accepted
-    # Bareiss must update every row below the pivot, including rows whose
-    # entry in the pivot column is already 0; skipping them makes a later
-    # integer division inexact and loses a rank here.
+    # rows that are already 0 in a pivot column still take part in later
+    # eliminations; an eliminator that skips them loses a rank here
     assert linalg.rank([[0, 2, 0], [3, -1, 2], [0, -1, 1], [3, -5, 2]]) == 3
 
 
@@ -56,24 +57,24 @@ def rational_matrices(draw):
     return rows
 
 
+def _sympy_matrix(rows):
+    return sympy.Matrix(
+        [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows])
+
+
 @settings(max_examples=200, deadline=None)
 @given(rows=rational_matrices())
 def test_rank_matches_sympy(rows):
-    expected = sympy.Matrix(
-        [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows]).rank()
-    assert linalg.rank(rows) == expected
+    assert linalg.rank(rows) == _sympy_matrix(rows).rank()
 
 
-def test_nullspace_left_convention():
-    # x + 2y + 3z = 0: free columns y, z
-    basis = linalg.nullspace([[F(1), F(2), F(3)]], 3)
-    assert basis == [[F(-2), F(1), F(0)], [F(-3), F(0), F(1)]]
-
-
-def test_nullspace_right_convention_prefers_early_support():
-    basis = linalg.nullspace([[F(-2), F(-1), F(-2)]], 3, pivot_side="right")
-    cleared = [linalg.clear_to_integers(v) for v in basis]
-    assert cleared == [[1, 0, -1], [0, 2, -1]]
+@settings(max_examples=200, deadline=None)
+@given(rows=rational_matrices())
+def test_rref_matches_sympy(rows):
+    reduced, pivots = _sympy_matrix(rows).rref()
+    expected = [[F(int(x.p), int(x.q)) for x in reduced.row(r)]
+                for r in range(reduced.rows)]
+    assert linalg.rref(rows) == (expected, list(pivots))
 
 
 def test_clear_to_integers():
@@ -109,8 +110,8 @@ def test_sparse_nullspace_matches_dense(rows):
             assert sum(a * b for a, b in zip(row, v)) == 0
     # and the dimensions agree with rank-nullity
     assert len(sparse_basis) == ncols - linalg.rank(dense)
-    # the two solvers span the same space
-    dense_basis = linalg.nullspace(dense, ncols)
+    # the sympy nullspace spans the same space
+    dense_basis = oracle.canonical_nullspace(rows, ncols)
     combined = linalg.rank(sparse_basis + dense_basis) if sparse_basis else 0
     assert combined == len(dense_basis) == len(sparse_basis)
 
@@ -124,8 +125,10 @@ def test_sparse_nullspace_matches_dense(rows):
     )
 )
 def test_nullspace_solves_and_rank_nullity(rows):
+    # rational rows cleared to integers, as combine_semi_invariants does
     ncols = 4
-    basis = linalg.nullspace(rows, ncols)
+    int_rows = [dict(enumerate(linalg.clear_to_integers(row))) for row in rows]
+    basis = linalg.sparse_nullspace(int_rows, ncols)
     for v in basis:
         for row in rows:
             assert sum(a * b for a, b in zip(row, v)) == 0
@@ -154,8 +157,7 @@ def sparse_integer_systems(draw):
 def test_sparse_nullspace_is_the_canonical_basis(system, data):
     rows, ncols = system
     basis = linalg.sparse_nullspace(rows, ncols)
-    dense = _dense_from_sparse(rows, ncols)
-    assert basis == linalg.nullspace(dense, ncols, pivot_side="right")
+    assert basis == oracle.canonical_nullspace(rows, ncols)
     # already reduced echelon form with pivot 1
     if basis:
         assert linalg.rref(basis)[0] == basis
@@ -177,3 +179,8 @@ def test_sparse_nullspace_hand_cases():
     # back-substitution must clear
     basis = linalg.sparse_nullspace([{1: 1, 2: 1}, {0: 1, 1: 1}], 3)
     assert basis == [[F(1), F(-1), F(1)]]
+    # pivots on the trailing columns give the earliest support:
+    # -2 x0 - x1 - 2 x2 = 0 has the integer basis (1, 0, -1), (0, 2, -1)
+    basis = linalg.sparse_nullspace([{0: -2, 1: -1, 2: -2}], 3)
+    cleared = [linalg.clear_to_integers(v) for v in basis]
+    assert cleared == [[1, 0, -1], [0, 2, -1]]
