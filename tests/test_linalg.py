@@ -179,6 +179,9 @@ def test_sparse_nullspace_hand_cases():
     # back-substitution must clear
     basis = linalg.sparse_nullspace([{1: 1, 2: 1}, {0: 1, 1: 1}], 3)
     assert basis == [[F(1), F(-1), F(1)]]
+
+
+def test_nullspace_right_convention_prefers_early_support():
     # pivots on the trailing columns give the earliest support:
     # -2 x0 - x1 - 2 x2 = 0 has the integer basis (1, 0, -1), (0, 2, -1)
     basis = linalg.sparse_nullspace([{0: -2, 1: -1, 2: -2}], 3)
