@@ -26,7 +26,7 @@ from .catalog import (
     load_catalog,
     verify_catalog,
 )
-from .expr import ParseError, is_zero_expr, parse, to_text
+from .expr import EvaluationError, ParseError, is_zero_expr, parse, to_text
 from .invariants import (
     SearchCapError,
     StructureError,
@@ -249,7 +249,9 @@ def _parsed_expressions(args, rec: AlgebraRecord, values) -> list:
     return exprs
 
 
-def cmd_weights(args) -> int:
+def _semi_invariants(args):
+    """The record, the ops and (text, SemiInvariant or None) per expression,
+    all computed before any output."""
     records = _load_records(args)
     rec = _select_record(records, args.algebra)
     values = _parse_sets(args.sets)
@@ -259,8 +261,18 @@ def cmd_weights(args) -> int:
         raise UsageError(str(exc)) from None
     ops = _ops_list(args, sc.dim)
     exprs = _parsed_expressions(args, rec, values)
+    out = []
     for text, e in zip(args.expressions, exprs):
-        semi = semi_invariant_weights(sc, e, ops, seed=args.seed)
+        try:
+            out.append((text, semi_invariant_weights(sc, e, ops, seed=args.seed)))
+        except EvaluationError as exc:
+            raise UsageError(f"expression {text!r}: {exc}") from None
+    return rec, ops, out
+
+
+def cmd_weights(args) -> int:
+    _, ops, semis = _semi_invariants(args)
+    for text, semi in semis:
         if semi is None:
             _emit(args, {"expression": text, "semi_invariant": False},
                   [f"{text}: not a semi-invariant under ops {ops}"])
@@ -273,28 +285,14 @@ def cmd_weights(args) -> int:
 
 
 def cmd_combine(args) -> int:
-    records = _load_records(args)
-    rec = _select_record(records, args.algebra)
-    values = _parse_sets(args.sets)
-    try:
-        sc, _ = instantiate(rec, values)
-    except ConstraintError as exc:
-        raise UsageError(str(exc)) from None
-    ops = _ops_list(args, sc.dim)
-    exprs = _parsed_expressions(args, rec, values)
-    items = []
-    bad = False
-    for text, e in zip(args.expressions, exprs):
-        semi = semi_invariant_weights(sc, e, ops, seed=args.seed)
+    rec, ops, semis = _semi_invariants(args)
+    for text, semi in semis:
         if semi is None:
             _emit(args, {"expression": text, "semi_invariant": False},
                   [f"{text}: not a semi-invariant under ops {ops}"])
-            bad = True
-        else:
-            items.append(semi)
-    if bad:
+    if any(semi is None for _, semi in semis):
         return 2
-    products = combine_semi_invariants(items, ops)
+    products = combine_semi_invariants([semi for _, semi in semis], ops)
     texts = [to_text(e) for e in products]
     _emit(args, {"algebra": rec.name, "ops": ops, "products": texts},
           [f"zero-weight products ({len(texts)}):"] + [f"  {t}" for t in texts])

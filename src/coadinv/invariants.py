@@ -20,7 +20,8 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, lcm
+from math import lcm
+from operator import add, mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -169,34 +170,72 @@ def is_invariant_numeric(sc: StructureConstants, e: Expression, trials: int = 10
 # Polynomial invariant search
 # ---------------------------------------------------------------------------
 
-def _monomials_of_degree(n: int, d: int) -> List[tuple]:
-    """Exponent tuples of total degree d, in descending graded-lex order."""
-    out = []
-    for combo in itertools.combinations_with_replacement(range(n), d):
-        mono = [0] * n
-        for v in combo:
-            mono[v] += 1
-        out.append(tuple(mono))
+def _monomials_of_degree(n: int, d: int, weights: Sequence[Sequence[int]]) -> List[tuple]:
+    """Exponent tuples of total degree d and weight 0 under every weight
+    vector, in descending graded-lex order."""
+    getters = [w.__getitem__ for w in weights]
+    out = [tuple(map(combo.count, range(n)))
+           for combo in itertools.combinations_with_replacement(range(n), d)
+           if not any(sum(map(g, combo)) for g in getters)]
     out.sort(reverse=True)
     return out
+
+
+def _diagonal_weights(sc: StructureConstants) -> Dict[int, List[int]]:
+    """Operator index -> weights lambda of each nonzero diagonal operator
+    sum_j lambda_j x_j d/dx_j (every [X_i, X_j] a multiple of X_j), scaled
+    to integers, which leaves the zero set of lambda . a alone."""
+    out = {}
+    n = sc.dim
+    for i in range(1, n + 1):
+        brackets = [sc._table.get((i, j), {}) for j in range(1, n + 1)]
+        if all(b.keys() <= {j} for j, b in enumerate(brackets, 1)):
+            lam = [b.get(j, 0) for j, b in enumerate(brackets, 1)]
+            if any(lam):
+                out[i] = linalg.clear_to_integers(lam)
+    return out
+
+
+def _count_weight_zero(n: int, max_degree: int,
+                       weights: Sequence[Sequence[int]]) -> int:
+    """Number of monomials of degree 1..max_degree with weight 0 under every
+    weight vector, counted by degree and weight without listing them, so a
+    degree far above the cap is refused at once."""
+    levels: List[Dict[tuple, int]] = [{} for _ in range(max_degree + 1)]
+    zero = (0,) * len(weights)
+    levels[0][zero] = 1
+    for v in range(n):
+        step = [w[v] for w in weights]
+        for d in range(1, max_degree + 1):
+            level = levels[d]
+            for w, c in levels[d - 1].items():
+                w = tuple(map(add, w, step))
+                level[w] = level.get(w, 0) + c
+    return sum(level.get(zero, 0) for level in levels[1:])
 
 
 def polynomial_invariant_search(sc: StructureConstants, max_degree: int) -> List[Polynomial]:
     """Basis of the polynomial invariants of degree 1..max_degree.
 
     The annihilation conditions form an exact homogeneous linear system on
-    the monomial coefficients; since the operators preserve degree the system
-    splits by degree.  Rows are assembled over the integers: each operator is
-    scaled once by the lcm of its constants' denominators.  The basis is the
-    one linalg.sparse_nullspace returns, canonical: reduced echelon form over
-    the monomials in graded-lex order, pivot coefficient 1.  Constants are
-    excluded.  Raises SearchCapError instead of truncating when the ansatz
-    would exceed the monomial cap.
+    the monomial coefficients, split by degree as the operators preserve it.
+    A diagonal operator sum_j lambda_j x_j d/dx_j maps x^a to (lambda . a) x^a,
+    so every invariant lives on the monomials of weight 0 under each diagonal
+    operator: only those are columns, and the diagonal operators' rows, zero
+    there, are not assembled.  The basis is the canonical one of
+    linalg.sparse_nullspace (reduced echelon form over the monomials in
+    graded-lex order, pivot coefficient 1), which the dropped columns, zero
+    in every invariant, leave unchanged.  Rows are integer: each operator is
+    scaled by the lcm of its constants' denominators.  Constants are
+    excluded.  Raises SearchCapError instead of truncating when the weight-0
+    ansatz would exceed the monomial cap.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
     n = sc.dim
-    total = sum(comb(n + d - 1, d) for d in range(1, max_degree + 1))
+    grading = _diagonal_weights(sc)
+    weights = list(grading.values())
+    total = _count_weight_zero(n, max_degree, weights)
     if total > MONOMIAL_CAP:
         raise SearchCapError(total, MONOMIAL_CAP)
     # terms[j]: [(k, i, C_ij^k * D_i)], 0-based, where D_i is the lcm of the
@@ -204,6 +243,8 @@ def polynomial_invariant_search(sc: StructureConstants, max_degree: int) -> List
     # its nullspace alone
     terms: List[List[Tuple[int, int, int]]] = [[] for _ in range(n)]
     for i in range(n):
+        if i + 1 in grading:
+            continue
         consts = [(j, k - 1, c) for j in range(n)
                   for k, c in sc._table.get((i + 1, j + 1), {}).items()]
         den = lcm(*(c.denominator for _, _, c in consts))
@@ -211,28 +252,28 @@ def polynomial_invariant_search(sc: StructureConstants, max_degree: int) -> List
             terms[j].append((k, i, c.numerator * (den // c.denominator)))
     found: List[Polynomial] = []
     for d in range(1, max_degree + 1):
-        monos = _monomials_of_degree(n, d)
-        ncols = len(monos)
-        col_of = {m: idx for idx, m in enumerate(monos)}
-        # rows keyed by operator and output-monomial index
+        monos = _monomials_of_degree(n, d, weights)
+        # a row is keyed by operator i and output monomial b, which need not
+        # have weight 0 and so has no column: code(b) * n + i, with
+        # code(b) = sum_v b_v (d+1)^v
+        pw = [(d + 1) ** v for v in range(n)]
+        shifts = [[((pw[k] - pw[j]) * n + i, c) for k, i, c in terms[j]]
+                  for j in range(n)]
         rows: Dict[int, Dict[int, int]] = {}
         for cm, mono in enumerate(monos):
+            code = sum(map(mul, mono, pw)) * n
             for j, ej in enumerate(mono):
                 if ej == 0:
                     continue
-                out = list(mono)
-                out[j] -= 1
-                for k, i, c in terms[j]:
-                    out[k] += 1
-                    row = rows.setdefault(i * ncols + col_of[tuple(out)], {})
-                    out[k] -= 1
+                for shift, c in shifts[j]:
+                    row = rows.setdefault(code + shift, {})
                     row[cm] = row.get(cm, 0) + c * ej
-        int_rows = []
-        for row in rows.values():
-            row = {c: v for c, v in row.items() if v}
-            if row:
-                int_rows.append(row)
-        for vec in linalg.sparse_nullspace(int_rows, ncols):
+        # a row without cancelled entries is passed on as it is, so the
+        # system is not held twice
+        nonzero = (row if all(row.values()) else {c: v for c, v in row.items() if v}
+                   for row in rows.values())
+        int_rows = [row for row in nonzero if row]
+        for vec in linalg.sparse_nullspace(int_rows, len(monos)):
             found.append(Polynomial(n, {monos[idx]: coeff
                                         for idx, coeff in enumerate(vec) if coeff}))
     return found
@@ -364,6 +405,8 @@ def combine_semi_invariants(items: Sequence[SemiInvariant],
     linalg.sparse_nullspace, whose pivots fall on the later items, cleared
     to coprime integers, first nonzero entry positive.  Every returned
     product has exactly zero weight for each operator in ops (checked).
+    A product that is a constant (x7 * x7^-1, from a repeated item) is
+    dropped.
     """
     items = list(items)
     for it in items:
@@ -392,7 +435,10 @@ def combine_semi_invariants(items: Sequence[SemiInvariant],
         if not factors:
             continue
         combined = factors[0] if len(factors) == 1 else Prod(tuple(factors))
-        out.append(normalize(combined))
+        product = normalize(combined)
+        rat = rational_form(product)
+        if rat is None or _exact_ratio(*rat) is None:  # drop constants
+            out.append(product)
     return out
 
 

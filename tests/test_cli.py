@@ -177,6 +177,20 @@ class TestWeightsAndCombine:
         assert out == ""
         assert err == "error: expression '0': must be nonzero\n"
 
+    @pytest.mark.parametrize("command", ["weights", "combine"])
+    @pytest.mark.parametrize("text", ["x1/0", "0^-1"])
+    def test_division_by_zero_is_usage_error(self, run, command, text):
+        code, out, err = run(command, "--algebra", "L_8,1", "x7", text)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: expression {text!r}: division by zero polynomial\n"
+
+    @pytest.mark.parametrize("items", [["x7", "x7"], ["x7^3", "x7^3"]])
+    def test_combine_drops_constant_products(self, run, items):
+        code, out, _ = run("combine", "--algebra", "L_8,1", "--ops", "8", *items)
+        assert code == 0
+        assert out == "zero-weight products (0):\n"
+
     def test_combine_two_parameter_algebra(self, run):
         # L_8,7 at p=2, q=3: cubic has weight -2, x6 weight -2, x7 weight -3
         code, out, _ = run(
@@ -254,15 +268,24 @@ class TestGoldenOutput:
 
 
 GOLDEN_SEARCH = Path(__file__).parent / "data" / "search_deg4.jsonl"
+GOLDEN_SEARCH_6 = Path(__file__).parent / "data" / "search_deg6.jsonl"
 
 
 class TestGoldenSearch:
     def test_search_degree_four_matches_golden_jsonl(self, run):
-        want = GOLDEN_SEARCH.read_text(encoding="utf-8").splitlines()
+        self._check(run, GOLDEN_SEARCH, "4")
+
+    def test_search_degree_six_matches_golden_jsonl(self, run):
+        # generated before the search was restricted to weight-0 monomials
+        self._check(run, GOLDEN_SEARCH_6, "6")
+
+    @staticmethod
+    def _check(run, path, degree):
+        want = path.read_text(encoding="utf-8").splitlines()
         assert len(want) == 37
         for line in want:
             name = json.loads(line)["algebra"]
-            code, out, _ = run("search", "--algebra", name, "--degree", "4",
+            code, out, _ = run("search", "--algebra", name, "--degree", degree,
                                "--format", "jsonl")
             assert code == 0
             assert out.splitlines() == [line], name

@@ -4,6 +4,7 @@ counts."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -12,6 +13,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from coadinv.algebra import StructureConstants
+from coadinv import invariants
 from coadinv.catalog import instantiate
 from coadinv.expr import (
     ComplexRational,
@@ -194,10 +196,42 @@ class TestSearch:
         # monomials of degree 1..9 in 8 variables: C(17, 9) - 1
         assert err.value.requested == 24_309
 
-    @pytest.mark.parametrize("name", ["L_5,1", "L_6,1", "L_6,2", "L_6,3", "L_6,4"])
+    def test_cap_counts_weight_zero_monomials(self, catalog_by_name, monkeypatch):
+        # L_8,7 has two diagonal operators; the cap applies to the monomials
+        # of weight 0 under both, counted here by applying the operators
+        sc, _ = instantiate(catalog_by_name["L_8,7"])
+        diagonal = _diagonal_operators(sc)
+        assert len(diagonal) == 2
+        monos = [Polynomial(8, {m: 1}) for d in range(1, 4)
+                 for m in _exponent_tuples(8, d)]
+        kept = sum(1 for m in monos
+                   if all(apply_operator(sc, i, m).is_zero for i in diagonal))
+        assert 0 < kept < len(monos) == 164
+        monkeypatch.setattr(invariants, "MONOMIAL_CAP", kept - 1)
+        with pytest.raises(SearchCapError) as err:
+            polynomial_invariant_search(sc, 3)
+        assert (err.value.requested, err.value.cap) == (kept, kept - 1)
+        monkeypatch.setattr(invariants, "MONOMIAL_CAP", kept)
+        polynomial_invariant_search(sc, 3)  # exactly at the cap: no error
+
+    def test_weights_with_mixed_denominators(self):
+        # X4 acts on the abelian ideal <X1, X2, X3> with weights (1, 1/2, -1):
+        # x2^2*x3 has weight 0, which the numerators (1, 1, -1) would miss
+        entries = {(1, 4, 1): F(-1), (2, 4, 2): F(-1, 2), (3, 4, 3): F(1)}
+        sc = StructureConstants(4, entries)
+        basis = polynomial_invariant_search(sc, 3)
+        assert [p.to_string() for p in basis] == ["x1*x3", "x2^2*x3"]
+        for d in range(1, 4):
+            found = sum(1 for p in basis if p.total_degree() == d)
+            assert found == oracle.invariant_space_dim(entries, 4, d), d
+
+    @pytest.mark.parametrize("name", ["L_5,1", "L_6,1", "L_6,2", "L_6,3", "L_6,4",
+                                      "L_7,3", "L_7,5", "L_8,7", "L_8,12"])
     def test_fractional_constants_match_oracle(self, catalog_by_name, name):
         # rescaling the basis by X_i -> s_i X_i with rational s_i gives
-        # C_ij^k -> s_i s_j / s_k C_ij^k, mostly with fractional constants
+        # C_ij^k -> s_i s_j / s_k C_ij^k, mostly with fractional constants;
+        # a diagonal operator's weights scale by s_i, so they turn
+        # fractional too
         sc, _ = instantiate(catalog_by_name[name])
         rng = random.Random(name)
         s = [F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
@@ -206,12 +240,40 @@ class TestSearch:
                    for (i, j, k), c in sc.entries.items()}
         assert any(c.denominator > 1 for c in entries.values())
         scaled = StructureConstants(sc.dim, entries)
+        diagonal = _diagonal_operators(scaled)
+        assert len(diagonal) == GRADED[name]
         basis = polynomial_invariant_search(scaled, 3)
         for p in basis:
             assert is_invariant_symbolic(scaled, p)
+            for m in p.terms:
+                mono = Polynomial(sc.dim, {m: 1})
+                assert all(apply_operator(scaled, i, mono).is_zero for i in diagonal)
         for d in range(1, 4):
             found = sum(1 for p in basis if p.total_degree() == d)
             assert found == oracle.invariant_space_dim(entries, sc.dim, d), d
+
+
+# number of nonzero diagonal operators sum_j lambda_j x_j d/dx_j
+GRADED = {"L_5,1": 1, "L_6,1": 0, "L_6,2": 1, "L_6,3": 2, "L_6,4": 1,
+          "L_7,3": 2, "L_7,5": 2, "L_8,7": 2, "L_8,12": 2}
+
+
+def _diagonal_operators(sc):
+    """Operators that map every x_j to a multiple of x_j, not all to 0."""
+    out = []
+    for i in range(1, sc.dim + 1):
+        images = [apply_operator(sc, i, Polynomial.variable(sc.dim, j))
+                  for j in range(1, sc.dim + 1)]
+        if (all(set(img.terms) <= {tuple(int(v == j) for v in range(sc.dim))}
+                for j, img in enumerate(images))
+                and not all(img.is_zero for img in images)):
+            out.append(i)
+    return out
+
+
+def _exponent_tuples(n, d):
+    return [tuple(combo.count(v) for v in range(n))
+            for combo in itertools.combinations_with_replacement(range(n), d)]
 
 
 class TestWeights:
