@@ -32,6 +32,9 @@ from .expr import Expression, ParseError, parse
 from .invariants import VerificationReport, InvariantCheck, verify_algebra
 
 
+MAX_DIM = 64  # far above the catalog's 5..8; bounds the work a record can ask for
+
+
 class CatalogError(ValueError):
     """Malformed catalog input; message carries the line number."""
 
@@ -241,6 +244,8 @@ def load_catalog_text(text: str) -> List[AlgebraRecord]:
                 current.dim = int(value)
             except ValueError:
                 raise CatalogError(f"line {lineno}: bad dim {value!r}") from None
+            if current.dim > MAX_DIM:
+                raise CatalogError(f"line {lineno}: dim {current.dim} is above {MAX_DIM}")
         elif key.startswith("param "):
             pname = key[len("param "):].strip()
             if not re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", pname):
@@ -272,16 +277,17 @@ def load_catalog_text(text: str) -> List[AlgebraRecord]:
 
 def load_catalog(source: Union[bytes, str, Path, "SupportsRead"]) -> List[AlgebraRecord]:
     """Load records from bytes, a path, or a readable (binary or text) stream."""
+    if isinstance(source, (str, Path)):
+        source = Path(source).read_bytes()
+    elif not isinstance(source, bytes):
+        source = source.read()
     if isinstance(source, bytes):
-        return load_catalog_text(source.decode("utf-8"))
-    if isinstance(source, Path):
-        return load_catalog_text(source.read_text(encoding="utf-8"))
-    if isinstance(source, str):
-        return load_catalog_text(Path(source).read_text(encoding="utf-8"))
-    data = source.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    return load_catalog_text(data)
+        try:
+            source = source.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = source.count(b"\n", 0, exc.start) + 1
+            raise CatalogError(f"line {line}: not UTF-8 text") from None
+    return load_catalog_text(source)
 
 
 def _format_coeff(mult: Fraction, pname: Optional[str], k: int) -> str:

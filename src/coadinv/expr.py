@@ -83,6 +83,8 @@ class ComplexRational:
         other = ComplexRational.of(other)
         return ComplexRational(self.re + other.re, self.im + other.im)
 
+    __radd__ = __add__
+
     def __sub__(self, other):
         other = ComplexRational.of(other)
         return ComplexRational(self.re - other.re, self.im - other.im)
@@ -96,6 +98,11 @@ class ComplexRational:
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
+
+    __rmul__ = __mul__
+
+    def __rtruediv__(self, other):
+        return ComplexRational.of(other) / self
 
     def __truediv__(self, other):
         other = ComplexRational.of(other)
@@ -809,6 +816,7 @@ def evaluate(e: Expression, point: Sequence[complex]) -> complex:
 # ---------------------------------------------------------------------------
 
 _KEYWORDS = ("ln", "sqrt")
+MAX_NESTING = 100  # parenthesized levels; the parser recurses once per level
 
 
 class _Tokenizer:
@@ -882,13 +890,15 @@ class _Parser:
 
     Parameters are substituted by their rational values while parsing, so a
     parenthesized exponent may be any arithmetic over rationals, parameters
-    and 'i' that folds to a constant.
+    and 'i' that folds to a constant.  Nesting deeper than MAX_NESTING is a
+    ParseError, not a RecursionError.
     """
 
     def __init__(self, text: str, nvars: int, params: Mapping[str, Fraction]):
         self.toks = _Tokenizer(text)
         self.nvars = nvars
         self.params = {k: _as_fraction(v) for k, v in (params or {}).items()}
+        self.depth = 0
 
     def parse(self) -> Expression:
         e = self._expr()
@@ -898,6 +908,10 @@ class _Parser:
         return normalize(e, self.nvars)
 
     def _expr(self) -> Expression:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nested deeper than {MAX_NESTING} levels",
+                             self.toks.peek()[2])
         terms = []
         sign = 1
         kind, _, _ = self.toks.peek()
@@ -913,6 +927,7 @@ class _Parser:
             self.toks.next()
             t = self._term()
             terms.append(t if kind == "+" else Prod((const(-1), t)))
+        self.depth -= 1
         return terms[0] if len(terms) == 1 else Sum(tuple(terms))
 
     def _term(self) -> Expression:

@@ -12,6 +12,10 @@ three-dimensional simple algebra with a Heisenberg algebra.
 Symbolic certification is used whenever the expression is a polynomial or a
 quotient of polynomials; the numeric fallback (random points, normalized
 residuals) only handles logarithms and non-integer or complex powers.
+Functional independence is an exact Jacobian rank over Q(i) at seeded
+integer points, an exact lower bound on the generic rank (see
+functional_independence_rank for why rows with powers and logarithms are
+exact, and which rows are left out).
 """
 
 from __future__ import annotations
@@ -24,18 +28,19 @@ from math import lcm
 from operator import add, mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from . import linalg
-from .algebra import StructureConstants, coadjoint_matrix, jacobi_defect, num_invariants
+from .algebra import (SAMPLE_BOUND, StructureConstants, coadjoint_matrix, jacobi_defect,
+                      num_invariants)
 from .expr import (
     ComplexRational,
+    Const,
     EvaluationError,
     Expression,
     Polynomial,
     Pow,
     Prod,
     Sum,
+    Var,
     as_polynomial,
     differentiate,
     evaluate,
@@ -317,6 +322,7 @@ def semi_invariant_weights(sc: StructureConstants, e: Expression,
     Polynomials and quotients of polynomials are certified exactly; otherwise
     the eigenvalue is estimated at random points, rationalized by continued
     fractions (denominator bound 10^6) and re-verified at fresh points.
+    Raises EvaluationError when e is singular at every sample point.
     """
     if is_zero_expr(e):
         raise ValueError("expression must be nonzero")
@@ -357,17 +363,21 @@ def _numeric_weight(sc: StructureConstants, e: Expression, img: Expression,
     rng = random.Random(seed * 1_000_003 + i)
     estimates = []
     attempts = 0
+    usable, singular = 0, None
     while len(estimates) < trials and attempts < 10 * trials:
         attempts += 1
         point = _sample_point(rng, n)
         try:
             v = evaluate(e, point)
-            if abs(v) < 1e-12:
-                continue
             w = evaluate(img, point)
-        except EvaluationError:
+        except EvaluationError as exc:
+            singular = exc
             continue
-        estimates.append(w / v)
+        usable += 1
+        if abs(v) >= 1e-12:
+            estimates.append(w / v)
+    if not usable and singular is not None:  # singular at every point
+        raise singular
     if len(estimates) < max(3, trials // 2):
         return None
     mean = sum(estimates) / len(estimates)
@@ -546,30 +556,113 @@ def heisenberg_invariant(sc: StructureConstants, levi_dim: int = 3) -> Polynomia
 # Functional independence and label counting
 # ---------------------------------------------------------------------------
 
+class _Uncertified(Exception):
+    """A row with no exact form here."""
+
+
+def _gaussian_rank(rows: Sequence[Sequence]) -> int:
+    """Rank over Q(i): half the rank of the real form [[Re, -Im], [Im, Re]]."""
+    real = []
+    for row in rows:
+        re = [v.re if isinstance(v, ComplexRational) else v for v in row]
+        im = [v.im if isinstance(v, ComplexRational) else 0 for v in row]
+        real += [re + [-v for v in im], im + re]
+    return linalg.rank(real) // 2
+
+
 def functional_independence_rank(exprs: Sequence[Expression], n: int,
                                  trials: int = 5, seed: int = 1) -> int:
-    """Max numeric rank of the Jacobian [dF_a/dx_j] at random points.
+    """Exact rank over Q(i) of the Jacobian [dF_a/dx_j] at seeded integer
+    points in [1, 10^6]^n: the max over `trials` points, stopping at the
+    first of full rank.
 
-    Singular values below 1e-8 times the largest are treated as zero.
+    A row is dF or dF/F.  A product or power c*prod B_i^k_i (k_i
+    Gaussian-rational) gets sum_i k_i dB_i/B_i; any other F gets dF by
+    forward-mode exact evaluation, where each distinct ln argument B_j takes
+    a seeded integer value and the gradient dB_j/B_j.  That is sound when
+    the B_j are rational and multiplicatively independent, for their
+    logarithms are then algebraically independent over C(x)
+    (Ostrowski-Kolchin); it is certified per point by full rank of the
+    vectors dB_j/B_j, which a relation prod B_j^c_j = const would make
+    dependent.  Where that check fails the rows holding an ln are left out,
+    as is any row with a non-integer power below the top-level product or
+    an ln inside an ln argument.  The result is an exact lower bound on the
+    generic rank, equal to it unless a row was left out or every point is a
+    root of the relevant minor (Schwartz-Zippel: its degree over 10^6 per
+    point).  A point where a denominator, a power base or an ln argument
+    vanishes is skipped; SamplingError when every point is.
     """
     if not exprs:
         return 0
-    derivs = [[differentiate(e, j) for j in range(1, n + 1)] for e in exprs]
     rng = random.Random(seed)
-    best = 0
-    usable = 0
+    zero, one = Fraction(0), Fraction(1)
+    best = usable = 0
     for _ in range(max(1, trials)):
-        point = _sample_point(rng, n)
+        x = [Fraction(rng.randint(1, SAMPLE_BOUND)) for _ in range(n)]
+        logs: Dict[Expression, tuple] = {}  # ln argument -> (value, dB/B)
+
+        def jet(e, ln_ok):
+            """Value and gradient of e at x, exact in Q(i)."""
+            if isinstance(e, Const) and not e.value.is_rational:
+                return e.value, [zero] * n
+            if isinstance(e, (Polynomial, Var, Const)):
+                p = as_polynomial(e, n)
+                return p.eval_exact(x), [p.diff(j).eval_exact(x) for j in range(1, n + 1)]
+            if isinstance(e, Sum):
+                parts = [jet(t, ln_ok) for t in e.terms]
+                return sum(v for v, _ in parts), [sum(c) for c in zip(*(g for _, g in parts))]
+            if isinstance(e, Prod):
+                val, grad = one, [zero] * n
+                for f in e.factors:
+                    fv, fg = jet(f, ln_ok)
+                    val, grad = val * fv, [a * fv + val * b for a, b in zip(grad, fg)]
+                return val, grad
+            if isinstance(e, Pow):
+                if not e.exponent.is_integer:
+                    raise _Uncertified
+                k = int(e.exponent.re)
+                bv, bg = jet(e.base, ln_ok)
+                if bv == 0:
+                    raise EvaluationError("zero power base", e)
+                val = bv ** k if k > 0 else one / bv ** -k
+                return val, [val * k / bv * g for g in bg]
+            if not ln_ok:
+                raise _Uncertified
+            key = normalize(e.arg, n)
+            if key not in logs:
+                av, ag = jet(e.arg, False)
+                if av == 0:
+                    raise EvaluationError("ln of zero", e)
+                logs[key] = (Fraction(rng.randint(1, SAMPLE_BOUND)),
+                             [g / av for g in ag])
+            return logs[key]
+
+        def row_of(e, ln_ok):
+            """The exact row of e at x, or None when it is left out."""
+            try:
+                if not isinstance(e, (Prod, Pow)):
+                    return jet(e, ln_ok)[1]
+                row = [zero] * n
+                for f in e.factors if isinstance(e, Prod) else (e,):
+                    base, k = (f.base, f.exponent) if isinstance(f, Pow) else (f, one)
+                    bv, bg = jet(base, ln_ok)
+                    if bv == 0:
+                        raise EvaluationError("zero power base", f)
+                    row = [r + k * g / bv for r, g in zip(row, bg)]
+                return row
+            except _Uncertified:
+                return None
+
         try:
-            rows = [[evaluate(d, point) for d in row] for row in derivs]
+            rows = [row_of(e, True) for e in exprs]
+            if logs and _gaussian_rank([g for _, g in logs.values()]) < len(logs):
+                rows = [row_of(e, False) for e in exprs]
         except EvaluationError:
             continue
         usable += 1
-        J = np.array(rows, dtype=complex)
-        s = np.linalg.svd(J, compute_uv=False)
-        if s.size and s[0] > 0:
-            r = int((s > 1e-8 * s[0]).sum())
-            best = max(best, r)
+        best = max(best, _gaussian_rank([row for row in rows if row is not None]))
+        if best == min(len(exprs), n):
+            break
     if usable == 0:
         raise SamplingError("all sample points were singular")
     return best

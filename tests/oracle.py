@@ -146,3 +146,22 @@ def canonical_nullspace(rows, ncols):
              for v in matrix.nullspace()]
     basis.sort(key=lambda v: next(i for i, x in enumerate(v) if x != 0))
     return basis
+
+
+
+def jacobian_rank(texts, n):
+    """Rank of the Jacobian of expressions in the library's grammar at a
+    symbolic generic point.  sympy differentiates; each row is scaled by
+    the lcm of its denominators (logarithms of products and powers
+    expanded), which leaves the rank alone, and eliminated with an
+    expand-to-zero pivot test."""
+    xs = sympy.symbols(f"x1:{n + 1}")
+    names = {str(x): x for x in xs}
+    names.update(ln=sympy.log, sqrt=sympy.sqrt, i=sympy.I)
+    rows = []
+    for text in texts:
+        e = sympy.sympify(text.replace("^", "**"), locals=names)
+        grad = [sympy.together(sympy.expand_log(sympy.diff(e, x), force=True)) for x in xs]
+        den = sympy.lcm([sympy.fraction(z)[1] for z in grad])
+        rows.append([sympy.expand(sympy.cancel(z * den)) for z in grad])
+    return sympy.Matrix(rows).rank(iszerofunc=lambda z: sympy.expand(z) == 0)

@@ -8,6 +8,7 @@ import pytest
 
 from coadinv.algebra import is_perfect, num_invariants
 from coadinv.catalog import (
+    MAX_DIM,
     CatalogError,
     ConstraintError,
     instantiate,
@@ -38,6 +39,22 @@ class TestLoad:
     def test_bytes_input(self):
         recs = load_catalog(ABELIAN3.encode("utf-8"))
         assert recs[0].name == "abelian3"
+
+    def test_bytes_not_utf8_rejected_with_line(self):
+        data = ABELIAN3.encode("utf-8") + b'note "\xff"\n'
+        with pytest.raises(CatalogError, match=r"^line 6: not UTF-8 text$"):
+            load_catalog(data)
+
+    def test_dim_above_cap_rejected_with_line(self):
+        text = ABELIAN3.replace("dim = 3", f"dim = {MAX_DIM + 1}")
+        with pytest.raises(CatalogError, match=rf"^line 4: dim {MAX_DIM + 1} is above {MAX_DIM}$"):
+            load_catalog_text(text)
+        assert load_catalog_text(ABELIAN3.replace("dim = 3", f"dim = {MAX_DIM}"))
+
+    def test_deeply_nested_invariant_rejected_with_line(self):
+        text = ABELIAN3.replace('"x1"', '"' + "(" * 2000 + "x1" + ")" * 2000 + '"')
+        with pytest.raises(CatalogError, match=r"^line 6: .*nested deeper than 100 levels"):
+            load_catalog_text(text)
 
     def test_shipped_catalog_is_complete(self, catalog_records):
         assert len(catalog_records) >= 30

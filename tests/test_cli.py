@@ -185,6 +185,26 @@ class TestWeightsAndCombine:
         assert out == ""
         assert err == f"error: expression {text!r}: division by zero polynomial\n"
 
+    @pytest.mark.parametrize("command", ["weights", "combine"])
+    @pytest.mark.parametrize("text, reason", [
+        ("ln(x1)/0", "zero raised to a negative power"),
+        ("ln(0)", "ln of zero"),
+        ("x1^(1/2)/0", "zero raised to a negative power"),
+    ])
+    def test_everywhere_singular_is_usage_error(self, run, command, text, reason):
+        code, out, err = run(command, "--algebra", "L_8,1", "--ops", "8", text)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: expression {text!r}: {reason}\n"
+
+    def test_deep_nesting_is_usage_error(self, run):
+        text = "(" * 2000 + "x1" + ")" * 2000
+        code, out, err = run("weights", "--algebra", "L_8,1", text)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: expression '((")
+        assert err.endswith("nested deeper than 100 levels (at position 100)\n")
+
     @pytest.mark.parametrize("items", [["x7", "x7"], ["x7^3", "x7^3"]])
     def test_combine_drops_constant_products(self, run, items):
         code, out, _ = run("combine", "--algebra", "L_8,1", "--ops", "8", *items)
@@ -323,3 +343,19 @@ class TestUsage:
     def test_bad_ops(self, run):
         code, _, err = run("weights", "--algebra", "L_8,1", "--ops", "9", "x7")
         assert code == 1
+
+    def test_catalog_not_utf8_is_usage_error(self, run, tmp_path):
+        path = tmp_path / "utf16.lie"
+        path.write_bytes(b"\xff\xfe" + SL2_CATALOG.encode("utf-16-le"))
+        code, out, err = run("check", "--catalog", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: bad catalog {path}: line 1: not UTF-8 text\n"
+
+    def test_huge_dim_is_usage_error(self, run, tmp_path):
+        path = tmp_path / "huge.lie"
+        path.write_text('[algebra]\nname = "huge"\ndim = 100000000\n', encoding="utf-8")
+        code, out, err = run("rank", "--catalog", str(path), "--algebra", "huge")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: bad catalog {path}: line 3: dim 100000000 is above 64\n"

@@ -12,6 +12,7 @@ from coadinv.expr import (
     ComplexRational,
     Const,
     EvaluationError,
+    MAX_NESTING,
     Ln,
     ParseError,
     Polynomial,
@@ -79,6 +80,15 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse("x1 + * x2", 3, {})
         assert err.value.position == 5
+
+    def test_deep_nesting_is_a_parse_error(self):
+        with pytest.raises(ParseError) as err:
+            parse("(" * 2000 + "x1" + ")" * 2000, 1, {})
+        assert err.value.position == MAX_NESTING
+        depth = MAX_NESTING - 1  # one level is the whole expression
+        assert parse("(" * depth + "x1" + ")" * depth, 1, {}) == Var(1)
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse("ln(" * 200 + "x1" + ")" * 200, 1, {})
 
     def test_leading_minus(self):
         e = parse("-2*x6^3 + x5", 6, {})

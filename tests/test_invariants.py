@@ -499,6 +499,68 @@ class TestIndependence:
         with _pytest.raises(SamplingError):
             functional_independence_rank([e], 3)
 
+    def test_constant_quotient_has_rank_zero(self):
+        # the exact gradient of x7^3*(x7^3)^-1 is zero, not rounding noise
+        e = parse("x7^3*(x7^3)^-1", 8, {})
+        assert functional_independence_rank([e], 8) == 0
+
+    def test_gaussian_power_products(self):
+        texts = ["(x1-i*x2)^(2-3*i)*(x1+i*x2)^(2+3*i)", "x3^(1/2)*(x1^2+x2^2)^(-1/3)",
+                 "(x1-i*x2)^(4-6*i)*(x1+i*x2)^(4+6*i)"]  # the third is the first squared
+        exprs = [parse(t, 3, {}) for t in texts]
+        assert functional_independence_rank(exprs, 3) == 2 == oracle.jacobian_rank(texts, 3)
+
+    @pytest.mark.parametrize("texts, got, generic", [
+        # ln(x1^2) = 2*ln(x1): with independent values for the two logs
+        # the zero function below would count as rank 1
+        (["x2", "ln(x1^2)^2 - 4*ln(x1)^2"], 1, 1),
+        (["x2", "ln(x1)", "ln(x1^2)"], 1, 2),
+        # independent, but three vectors dB/B in two variables are
+        # dependent at every point, so independence is not certified
+        (["x3", "ln(x1)", "ln(x2)*ln(x1+x2)"], 1, 3),
+    ])
+    def test_uncertified_ln_rows_are_left_out(self, texts, got, generic):
+        exprs = [parse(t, 3, {}) for t in texts]
+        assert functional_independence_rank(exprs, 3) == got
+        assert oracle.jacobian_rank(texts, 3) == generic
+
+    def test_independent_ln_arguments_are_certified(self):
+        texts = ["ln(x1)*ln(x2)", "ln(x1)^2 + ln(x2)", "x1*ln(x3)"]
+        exprs = [parse(t, 3, {}) for t in texts]
+        assert functional_independence_rank(exprs, 3) == 3 == oracle.jacobian_rank(texts, 3)
+
+    # templates over random polynomials f, g, h; planted dependences: f^2,
+    # f*g, g+h and f/g against f, g, h, and the power products against
+    # each other and f, g
+    _CERTIFIED = ("f", "g", "h", "f^2", "f*g", "g+h", "f/g", "f^(1/2)*g^(-1)",
+                  "f^(3/2)*g^(-2)", "f^(2*i)*g^(1/3)", "ln(f)", "g*ln(f)", "ln(f)^2 + h")
+    _UNCERTIFIED = ("ln(g)", "x1^(1/2) + h")
+
+    @staticmethod
+    def _polys():
+        term = st.tuples(st.sampled_from([-2, -1, 1, 2, 3]),
+                         st.tuples(*[st.integers(0, 2)] * 3))
+        return st.lists(term, min_size=1, max_size=2).map(
+            lambda ts: Polynomial(3, dict((m, F(c)) for c, m in ts))).filter(
+            lambda p: not p.is_constant)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_rank_matches_sympy_jacobian(self, data):
+        f, g, h = (data.draw(self._polys()) for _ in range(3))
+        chosen = data.draw(st.lists(st.sampled_from(self._CERTIFIED + self._UNCERTIFIED),
+                                    min_size=1, max_size=4, unique=True))
+        texts = []
+        for t in chosen:
+            for name, p in (("f", f), ("g", g), ("h", h)):
+                t = t.replace(name, f"({p.to_string()})")
+            texts.append(t)
+        got = functional_independence_rank([parse(t, 3, {}) for t in texts], 3)
+        expected = oracle.jacobian_rank(texts, 3)
+        assert got <= expected
+        if all(t in self._CERTIFIED for t in chosen):
+            assert got == expected
+
 
 class TestMissingLabelCount:
     def test_adjacent_pair(self):
